@@ -696,17 +696,9 @@ void ShardRouter::probe(Shard& shard) {
           << (heartbeat.brownout_active ? ", brownout active" : "");
     }
   } catch (const net::TransportError&) {
-    {
-      const std::scoped_lock lock(shard.mutex);
-      ++shard.heartbeats_failed;
-    }
     record_failure(shard);
     schedule_reprobe(shard);
   } catch (const net::WireError&) {
-    {
-      const std::scoped_lock lock(shard.mutex);
-      ++shard.heartbeats_failed;
-    }
     record_failure(shard);
     schedule_reprobe(shard);
   }
@@ -715,8 +707,11 @@ void ShardRouter::probe(Shard& shard) {
 void ShardRouter::schedule_reprobe(Shard& shard) {
   // After record_failure() so the quarantine transition (if this probe
   // tripped it) is already visible: a still-healthy shard keeps the plain
-  // heartbeat cadence; a quarantined one backs off exponentially.
+  // heartbeat cadence; a quarantined one backs off exponentially. The
+  // failed probe is counted under the same lock as its schedule, so a
+  // stats() snapshot never shows the failure without its redial attempt.
   const std::scoped_lock lock(shard.mutex);
+  ++shard.heartbeats_failed;
   if (shard.healthy) {
     shard.redial_attempts = 0;
     shard.next_probe_at = clock_->now() + config_.heartbeat_period;

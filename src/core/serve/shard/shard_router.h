@@ -216,9 +216,9 @@ class ShardRouter {
   void heartbeat_loop();
   void probe(Shard& shard);
 
-  /// Schedules the next probe of a shard whose probe just failed: plain
-  /// heartbeat cadence while healthy, capped exponential backoff with
-  /// deterministic jitter once quarantined.
+  /// Counts a failed probe and schedules the next one: plain heartbeat
+  /// cadence while healthy, capped exponential backoff with deterministic
+  /// jitter once quarantined.
   void schedule_reprobe(Shard& shard);
   [[nodiscard]] std::chrono::milliseconds redial_delay(const Shard& shard,
                                                        int attempt) const;

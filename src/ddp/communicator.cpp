@@ -43,9 +43,7 @@ std::vector<float> Channel::recv(
   return message;
 }
 
-World::World(int size, const util::Clock* clock)
-    : size_(size),
-      clock_(clock != nullptr ? clock : &util::system_clock()) {
+World::World(int size) : size_(size) {
   if (size < 1) throw std::invalid_argument("World: size must be >= 1");
   channels_.resize(static_cast<std::size_t>(size) * size);
   for (auto& ch : channels_) ch = std::make_unique<Channel>();
@@ -58,85 +56,9 @@ Channel& World::channel(int from, int to) {
   return *channels_[static_cast<std::size_t>(from) * size_ + to];
 }
 
-void World::barrier(std::optional<util::Clock::time_point> deadline) {
-  std::unique_lock lock(barrier_mutex_);
-  const std::uint64_t generation = barrier_generation_;
-  if (++barrier_count_ == size_) {
-    barrier_count_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-    return;
-  }
-  while (barrier_generation_ == generation) {
-    if (deadline && clock_->now() >= *deadline) {
-      // Withdraw this rank's arrival so a later, complete barrier round
-      // still needs all `size` ranks.
-      --barrier_count_;
-      throw CollectiveTimeout("World::barrier");
-    }
-    barrier_cv_.wait_for(lock, kWaitTick);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Collectives (transport-agnostic; summation order fixed by construction)
 // ---------------------------------------------------------------------------
-
-void Communicator::ring_allreduce_sum(float* data, std::size_t count) {
-  const int n = world_size();
-  if (n == 1 || count == 0) return;
-  const int self = rank();
-  const int right = (self + 1) % n;
-  const int left = (self - 1 + n) % n;
-  const auto deadline = collective_deadline();
-
-  // Chunk boundaries: chunk c covers [offset(c), offset(c+1)).
-  const auto offset = [&](int c) {
-    return count * static_cast<std::size_t>(c) / static_cast<std::size_t>(n);
-  };
-  const auto chunk_span = [&](int c) {
-    const std::size_t lo = offset(c), hi = offset(c + 1);
-    return std::pair<std::size_t, std::size_t>(lo, hi - lo);
-  };
-
-  // Phase 1: scatter-reduce. After N-1 steps rank r holds the fully reduced
-  // chunk (r+1) mod N.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = ((self - step) % n + n) % n;
-    const int recv_chunk = ((self - step - 1) % n + n) % n;
-    const auto [send_lo, send_len] = chunk_span(send_chunk);
-    std::vector<float> outgoing(data + send_lo, data + send_lo + send_len);
-    send(right, std::move(outgoing), deadline);
-    const std::vector<float> incoming = recv(left, deadline);
-    const auto [recv_lo, recv_len] = chunk_span(recv_chunk);
-    if (incoming.size() != recv_len) {
-      throw PeerLost("ring_allreduce: chunk size mismatch");
-    }
-    for (std::size_t i = 0; i < recv_len; ++i) data[recv_lo + i] += incoming[i];
-  }
-
-  // Phase 2: allgather. Each rank forwards the reduced chunks around the
-  // ring, overwriting local data.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = ((self - step + 1) % n + n) % n;
-    const int recv_chunk = ((self - step) % n + n) % n;
-    const auto [send_lo, send_len] = chunk_span(send_chunk);
-    std::vector<float> outgoing(data + send_lo, data + send_lo + send_len);
-    send(right, std::move(outgoing), deadline);
-    const std::vector<float> incoming = recv(left, deadline);
-    const auto [recv_lo, recv_len] = chunk_span(recv_chunk);
-    if (incoming.size() != recv_len) {
-      throw PeerLost("ring_allreduce: chunk size mismatch");
-    }
-    std::memcpy(data + recv_lo, incoming.data(), recv_len * sizeof(float));
-  }
-}
-
-void Communicator::ring_allreduce_average(float* data, std::size_t count) {
-  ring_allreduce_sum(data, count);
-  const float inv = 1.0f / static_cast<float>(world_size());
-  for (std::size_t i = 0; i < count; ++i) data[i] *= inv;
-}
 
 void Communicator::tree_allreduce_sum(float* data, std::size_t count) {
   const int n = world_size();
@@ -224,10 +146,6 @@ void ThreadCommunicator::send(int to, std::vector<float> message,
 std::vector<float> ThreadCommunicator::recv(int from,
                                             util::Clock::time_point deadline) {
   return world_->channel(from, rank_).recv(deadline, &clock());
-}
-
-void ThreadCommunicator::barrier(util::Clock::time_point deadline) {
-  world_->barrier(deadline);
 }
 
 void tree_fold(std::vector<std::vector<float>>& buffers) {

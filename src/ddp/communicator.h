@@ -4,23 +4,19 @@
 // thread; the deterministic reference) or over the net/ socket mesh (one
 // rank == one process; the production fleet, ddp/socket_communicator.h).
 //
-// The collectives live in the abstract base over virtual send/recv, so the
-// arithmetic — including float summation order — is identical on every
-// transport: a socket fleet's result is bit-compared against the thread
-// path in tests.
+// A transport supplies only point-to-point send/recv. The two collectives
+// live in the abstract base over those virtuals, so the arithmetic —
+// including float summation order — is identical on every transport: a
+// socket fleet's result is bit-compared against the thread path in tests.
 //
-//   * ring_allreduce_sum: chunked ring (Patarasuk & Yuan 2009 — the
-//     algorithm Horovod uses via NCCL). Deterministic fixed order, bit-
-//     identical across ranks, but the summation order depends on the world
-//     size.
 //   * tree_allreduce_sum: recursive halving-doubling over a canonical
 //     balanced binary tree (power-of-two worlds). The tree over N
 //     contributions is the same shape whether it is folded by 1, 2, or 4
 //     ranks, so results are bit-identical ACROSS world sizes when each
 //     rank's local buffer is itself a canonical tree fold of its
 //     contiguous contribution block (tree_fold below). The fleet trainer
-//     rests on this: a 4-rank run reproduces a single-rank run bit for
-//     bit.
+//     (ddp/fleet_trainer.h) rests on this: a 4-rank run reproduces a
+//     single-rank run bit for bit.
 //   * broadcast: ring pipeline from `root`.
 //
 // Every blocking path takes its deadline from an injectable util::Clock
@@ -32,7 +28,6 @@
 #include <condition_variable>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -76,29 +71,18 @@ class Channel {
   std::deque<std::vector<float>> queue_;
 };
 
-/// Shared state of one thread-communicator world (create once, hand to all
-/// rank threads).
+/// Shared mailbox mesh of one thread-communicator world (create once, hand
+/// to all rank threads). Deadlines come from each rank's CollectiveOptions.
 class World {
  public:
-  explicit World(int size, const util::Clock* clock = nullptr);
+  explicit World(int size);
 
   [[nodiscard]] int size() const noexcept { return size_; }
-  [[nodiscard]] const util::Clock& clock() const noexcept { return *clock_; }
   [[nodiscard]] Channel& channel(int from, int to);
-
-  /// Blocks until all `size` ranks arrive (reusable) or `deadline` passes
-  /// on the world's clock — a rank that never shows up fails the barrier
-  /// with CollectiveTimeout on every waiting rank instead of wedging them.
-  void barrier(std::optional<util::Clock::time_point> deadline = {});
 
  private:
   int size_;
-  const util::Clock* clock_;
   std::vector<std::unique_ptr<Channel>> channels_;  // size x size mesh
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_count_ = 0;
-  std::uint64_t barrier_generation_ = 0;
 };
 
 /// Transport-agnostic per-rank handle. The collectives are implemented
@@ -119,9 +103,6 @@ class Communicator {
   [[nodiscard]] virtual std::vector<float> recv(
       int from, util::Clock::time_point deadline) = 0;
 
-  /// All ranks rendezvous; same deadline semantics.
-  virtual void barrier(util::Clock::time_point deadline) = 0;
-
   // Convenience forms: one fresh per-collective deadline from the options.
   void send(int to, std::vector<float> message) {
     send(to, std::move(message), collective_deadline());
@@ -129,16 +110,6 @@ class Communicator {
   [[nodiscard]] std::vector<float> recv(int from) {
     return recv(from, collective_deadline());
   }
-  void barrier() { barrier(collective_deadline()); }
-
-  /// In-place chunked ring allreduce (sum): after the call every rank
-  /// holds the element-wise sum over all ranks, bit-identical across
-  /// ranks. 2(N-1) chunk transfers per rank.
-  void ring_allreduce_sum(float* data, std::size_t count);
-
-  /// Convenience: ring sum then scale by 1/world_size (gradient
-  /// averaging).
-  void ring_allreduce_average(float* data, std::size_t count);
 
   /// In-place recursive halving-doubling allreduce (sum) over the
   /// canonical balanced tree. Requires a power-of-two world size (throws
@@ -183,9 +154,7 @@ class ThreadCommunicator final : public Communicator {
             util::Clock::time_point deadline) override;
   [[nodiscard]] std::vector<float> recv(
       int from, util::Clock::time_point deadline) override;
-  void barrier(util::Clock::time_point deadline) override;
 
-  using Communicator::barrier;
   using Communicator::recv;
   using Communicator::send;
 

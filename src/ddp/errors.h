@@ -21,7 +21,7 @@ class CollectiveError : public std::runtime_error {
       : std::runtime_error("collective error: " + why) {}
 };
 
-/// A send/recv/barrier ran past its deadline (per the configured clock).
+/// A send/recv ran past its deadline (per the configured clock).
 /// The peer may be alive but wedged, or simply slow past the budget —
 /// either way the step is void.
 class CollectiveTimeout : public CollectiveError {

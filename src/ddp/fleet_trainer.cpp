@@ -429,8 +429,7 @@ FleetTrainStats train_fleet(nn::UNet& model, const nn::SegDataset& data,
   // A shared World cannot re-rendezvous after a failed step (mailboxes
   // would hold the dead step's frames), so the thread path fails fast.
   local.max_rejoins = 0;
-  const auto world =
-      std::make_shared<World>(local.world_size, local.collective.clock);
+  const auto world = std::make_shared<World>(local.world_size);
 
   FleetTrainStats rank0_stats;
   std::exception_ptr error;

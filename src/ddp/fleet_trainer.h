@@ -1,10 +1,12 @@
 #pragma once
-// Fault-tolerant synchronous data-parallel training — the multi-process
-// successor to ddp/distributed_trainer.h, built to die and come back.
+// Fault-tolerant synchronous data-parallel training (paper §III.C, Fig 8:
+// Horovod data parallelism), built to die and come back. This is the
+// repo's one data-parallel trainer; nn::Trainer is the single-process one.
 //
 // One rank == one process (tools/polarice_trainer) joined over the
 // SocketCommunicator mesh, or one thread over a shared World for the
-// deterministic in-process reference (train_fleet below). Both run the
+// deterministic in-process path (train_fleet below — what the Table III
+// bench and examples/distributed_training measure). Both run the
 // identical per-rank program:
 //
 //   1. (Re)join: build a communicator via the injected factory, then sync

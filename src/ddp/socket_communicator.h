@@ -11,13 +11,13 @@
 // individual connections under one overall deadline, so ranks may start in
 // any order.
 //
-// Data frames (kTrainChunk / kTrainBarrier) carry a per-directed-pair
-// sequence number. Because every rank executes the identical program order
-// of collectives, each pair's frame stream is deterministic; a gap, dup,
-// or unexpected type means the peer restarted or desynced and surfaces as
-// PeerLost. Transport deadlines map to CollectiveTimeout. Either way the
-// step fails loudly and the fleet can tear down, roll back to the last
-// durable checkpoint, and re-rendezvous (ddp/fleet_trainer.h).
+// Data frames (kTrainChunk) carry a per-directed-pair sequence number.
+// Because every rank executes the identical program order of collectives,
+// each pair's frame stream is deterministic; a gap, dup, or unexpected
+// type means the peer restarted or desynced and surfaces as PeerLost.
+// Transport deadlines map to CollectiveTimeout. Either way the step fails
+// loudly and the fleet can tear down, roll back to the last durable
+// checkpoint, and re-rendezvous (ddp/fleet_trainer.h).
 //
 // The collectives themselves live in the Communicator base class, so a
 // socket fleet's arithmetic — including float summation order — is
@@ -68,12 +68,6 @@ class SocketCommunicator final : public Communicator {
   [[nodiscard]] std::vector<float> recv(
       int from, util::Clock::time_point deadline) override;
 
-  /// Centralized barrier through rank 0: peers send an arrival token and
-  /// block on the release token. Same deadline/typed-error semantics as
-  /// every other collective.
-  void barrier(util::Clock::time_point deadline) override;
-
-  using Communicator::barrier;
   using Communicator::recv;
   using Communicator::send;
 
@@ -90,17 +84,10 @@ class SocketCommunicator final : public Communicator {
 
   void establish();
   [[nodiscard]] net::Connection& connection_to(int peer_rank);
-  void send_train_frame(int to, net::MsgType type,
-                        const std::vector<std::uint8_t>& payload,
-                        util::Clock::time_point deadline);
-  [[nodiscard]] net::WireReader read_train_frame(
-      int from, net::MsgType expected_type, std::vector<std::uint8_t>& storage,
-      util::Clock::time_point deadline);
 
   SocketCommunicatorConfig config_;
   net::Listener listener_;
   std::vector<Peer> peers_;  // indexed by rank; peers_[rank()] unused
-  std::uint64_t barrier_generation_ = 0;
 };
 
 }  // namespace polarice::ddp

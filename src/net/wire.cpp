@@ -27,8 +27,6 @@ const char* to_string(MsgType type) noexcept {
       return "train_hello";
     case MsgType::kTrainChunk:
       return "train_chunk";
-    case MsgType::kTrainBarrier:
-      return "train_barrier";
   }
   return "?";
 }
@@ -137,7 +135,6 @@ FrameHeader decode_header(const std::uint8_t* bytes, std::size_t n) {
     case MsgType::kMetricsResponse:
     case MsgType::kTrainHello:
     case MsgType::kTrainChunk:
-    case MsgType::kTrainBarrier:
       header.type = static_cast<MsgType>(type);
       break;
     default:

@@ -62,8 +62,8 @@ inline constexpr std::uint32_t kWireMagic = 0x45434950;  // 'PICE' LE
 // uptime + a brownout flag, and the metrics scrape messages
 // (kMetricsRequest/kMetricsResponse) joined the vocabulary. Mixed-version
 // fleets fail loudly at the frame header instead of misdecoding.
-// v4: the distributed-training messages (kTrainHello/kTrainChunk/
-// kTrainBarrier) joined the vocabulary for the ddp socket communicator.
+// v4: the distributed-training messages (kTrainHello/kTrainChunk) joined
+// the vocabulary for the ddp socket communicator. Type 11 is unassigned.
 inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 32;
 /// Ceiling on one frame's payload — large enough for any realistic scene
@@ -83,11 +83,10 @@ enum class MsgType : std::uint16_t {
   kMetricsRequest = 7,   // scrape: dump the worker's obs registry
   kMetricsResponse = 8,  // worker -> scraper: text exposition + identity
   // Distributed training (ddp/socket_communicator.h). Rendezvous first
-  // (kTrainHello both ways), then every collective moves float chunks and
-  // barrier tokens as sequence-numbered kTrainChunk/kTrainBarrier frames.
-  kTrainHello = 9,    // rank identity + world size + config fingerprint
-  kTrainChunk = 10,   // one float buffer of a collective (seq + rank + data)
-  kTrainBarrier = 11  // barrier arrival/release token (seq + rank + phase)
+  // (kTrainHello both ways), then every collective moves float buffers as
+  // sequence-numbered kTrainChunk frames.
+  kTrainHello = 9,   // rank identity + world size + config fingerprint
+  kTrainChunk = 10   // one float buffer of a collective (seq + rank + data)
 };
 
 [[nodiscard]] const char* to_string(MsgType type) noexcept;

@@ -1,7 +1,8 @@
 #pragma once
 // Optimizers over flat parameter lists: SGD (+momentum) and Adam (the
-// paper's choice). The ddp DistributedOptimizer wraps one of these and
-// averages gradients across ranks before each step.
+// paper's choice). The ddp fleet trainer (ddp/fleet_trainer.h) drives one
+// Adam per rank from the tree-allreduced gradients, and its checkpoints
+// carry Adam's moment state.
 
 #include <vector>
 

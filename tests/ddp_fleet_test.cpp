@@ -11,11 +11,16 @@
 //    uninterrupted run.
 //  * Typed failures: a fleet that cannot form times out with a
 //    CollectiveError, never a hang.
+//  * Training semantics: a fleet step equals a single-device Adam step over
+//    the whole global batch, loss falls with epochs, and a dataset smaller
+//    than one global batch is refused.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -26,10 +31,15 @@
 #include "ddp/communicator.h"
 #include "ddp/fleet_trainer.h"
 #include "ddp/socket_communicator.h"
+#include "nn/data.h"
+#include "nn/optimizer.h"
 #include "nn/unet.h"
+#include "tensor/conv.h"
+#include "util/rng.h"
 
 namespace pd = polarice::ddp;
 namespace pn = polarice::nn;
+namespace pt = polarice::tensor;
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
@@ -72,6 +82,37 @@ std::vector<float> flat_params(pn::UNet& model) {
     out.insert(out.end(), v, v + p.value->numel());
   }
   return out;
+}
+
+/// Learnable three-class data: class = horizontal third of the tile, each
+/// class bright in its own channel, plus a little noise.
+pn::SegDataset striped_dataset(int n_samples, int size, std::uint64_t seed) {
+  polarice::util::Rng rng(seed);
+  pn::SegDataset data;
+  for (int s = 0; s < n_samples; ++s) {
+    pn::SegSample sample;
+    sample.image = pt::Tensor({3, size, size});
+    sample.labels.resize(static_cast<std::size_t>(size) * size);
+    for (int y = 0; y < size; ++y) {
+      for (int x = 0; x < size; ++x) {
+        const int cls = x * 3 / size;
+        sample.labels[y * size + x] = cls;
+        for (int c = 0; c < 3; ++c) {
+          sample.image[(c * size + y) * size + x] =
+              (c == cls ? 0.8f : 0.1f) +
+              static_cast<float>(rng.uniform(-0.05, 0.05));
+        }
+      }
+    }
+    data.add(std::move(sample));
+  }
+  return data;
+}
+
+pd::FleetTrainConfig striped_fleet(int world_size, int batch_per_device) {
+  auto cfg = tiny_fleet(world_size, batch_per_device);
+  cfg.model.num_classes = 3;
+  return cfg;
 }
 
 std::string scratch_dir(const std::string& name) {
@@ -256,6 +297,69 @@ TEST(FleetTrainer, StopVoteExitsCleanlyWithCheckpoint) {
   EXPECT_TRUE(stats.stopped);
   EXPECT_EQ(stats.steps, 0);
   EXPECT_GE(stats.checkpoints_written, 1);
+}
+
+// A fleet step averages per-sample gradients over the whole global batch,
+// so world 2 x batch 4 must reproduce a single-device Adam loop over
+// batches of 8. With 8 samples every step covers the whole dataset, so the
+// fleet's shuffle order cannot matter and the reference runs unshuffled.
+TEST(FleetTrainer, MatchesSingleDeviceAdamOverTheGlobalBatch) {
+  const auto data = striped_dataset(8, 8, 77);
+  const auto config = striped_fleet(2, 4);
+
+  pn::UNet single(config.model);
+  {
+    pn::DataLoader loader(data, config.global_batch(), 0, /*shuffle=*/false);
+    pn::Adam opt(single.params(), config.learning_rate);
+    pt::Tensor logits, probs, dlogits;
+    pn::Batch batch;
+    for (int e = 0; e < config.epochs; ++e) {
+      loader.start_epoch();
+      while (loader.next(batch)) {
+        opt.zero_grad();
+        single.forward(batch.x, logits, /*training=*/true);
+        pt::softmax_cross_entropy(logits, batch.targets, probs, dlogits);
+        single.backward(dlogits);
+        opt.step();
+      }
+    }
+  }
+
+  pn::UNet fleet(config.model);
+  const auto stats = pd::train_fleet(fleet, data, config);
+  EXPECT_EQ(stats.steps, config.epochs);
+
+  const auto a = flat_params(single);
+  const auto b = flat_params(fleet);
+  ASSERT_EQ(a.size(), b.size());
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    max_diff = std::max(max_diff, std::abs(double(a[i]) - double(b[i])));
+  }
+  EXPECT_LT(max_diff, 5e-4);  // float summation-order differences only
+}
+
+TEST(FleetTrainer, LossFallsWithEpochs) {
+  const auto data = striped_dataset(8, 8, 88);
+  const auto final_loss = [&](int epochs) {
+    auto config = striped_fleet(4, 2);
+    config.epochs = epochs;
+    config.learning_rate = 3e-3f;
+    pn::UNet model(config.model);
+    return pd::train_fleet(model, data, config).final_loss;
+  };
+  const float after_one = final_loss(1);
+  const float after_six = final_loss(6);
+  EXPECT_TRUE(std::isfinite(after_one));
+  EXPECT_LT(after_six, after_one);
+}
+
+TEST(FleetTrainer, RejectsDatasetSmallerThanOneGlobalBatch) {
+  const auto data = striped_dataset(2, 8, 99);
+  const auto config = striped_fleet(4, 2);  // global batch 8 > 2 samples
+  pn::UNet model(config.model);
+  EXPECT_THROW((void)pd::train_fleet(model, data, config),
+               std::invalid_argument);
 }
 
 // A fleet that can never form (no peer ever dials in) must surface a typed

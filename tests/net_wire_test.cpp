@@ -340,6 +340,12 @@ TEST(NetWire, HeaderRejectsBadMagicVersionAndGiantLength) {
   giant[15] = 0x7F;  // payload_len high byte -> way past kMaxPayload
   EXPECT_THROW((void)decode_header(giant.data(), kFrameHeaderBytes),
                WireError);
+
+  auto unknown_type = frame;
+  unknown_type[6] = 11;  // type byte: no MsgType is numbered 11
+  unknown_type[7] = 0;
+  EXPECT_THROW((void)decode_header(unknown_type.data(), kFrameHeaderBytes),
+               WireError);
 }
 
 TEST(NetWire, ChecksumMismatchIsTyped) {
