@@ -453,7 +453,19 @@ static void BM_GaussianBlur(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_GaussianBlur)->Arg(5)->Arg(31);
+BENCHMARK(BM_GaussianBlur)->Arg(5)->Arg(31)->Arg(81);
+
+// The per-tap reference loop the vectorized blur is tested against; its rows
+// sit next to BM_GaussianBlur's so BENCH_micro.json carries the speedup.
+static void BM_GaussianBlurRef(benchmark::State& state) {
+  const auto gray = img::rgb_to_gray(bench_scene_rgb(256));
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto out = img::gaussian_blur_ref(gray, k);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_GaussianBlurRef)->Arg(31)->Arg(81);
 
 static void BM_MedianFilter(benchmark::State& state) {
   const auto gray = img::rgb_to_gray(bench_scene_rgb(256));

@@ -16,6 +16,11 @@ ImageU8 gaussian_blur(const ImageU8& src, int ksize, double sigma = 0.0);
 /// Float variant used inside the cloud filter's illumination estimate.
 ImageF32 gaussian_blur(const ImageF32& src, int ksize, double sigma = 0.0);
 
+/// Reference blurs: the same result computed one clamped read per tap per
+/// pixel. Test oracles for gaussian_blur, which must match them bit for bit.
+ImageU8 gaussian_blur_ref(const ImageU8& src, int ksize, double sigma = 0.0);
+ImageF32 gaussian_blur_ref(const ImageF32& src, int ksize, double sigma = 0.0);
+
 /// Median filter with an odd ksize x ksize window (single channel only);
 /// histogram-based so it is O(1) per pixel update.
 ImageU8 median_filter(const ImageU8& src, int ksize);

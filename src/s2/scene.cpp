@@ -64,6 +64,17 @@ double band_value(double u, int lo, int hi) {
   const double eased = 0.5 + 4.0 * centered * centered * centered;
   return lo + eased * (hi - lo);
 }
+
+/// The q-quantile of `values` as the element a full sort would put at index
+/// clamp(q) * (n - 1). Selection returns that same element in O(n); it
+/// reorders `values`, which the callers pass as scratch copies.
+float order_statistic(std::vector<float>& values, double q) {
+  const auto idx = static_cast<std::size_t>(
+      std::clamp(q, 0.0, 1.0) * static_cast<double>(values.size() - 1));
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(idx);
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
+}
 }  // namespace
 
 Scene SceneGenerator::generate() const {
@@ -93,17 +104,14 @@ Scene SceneGenerator::generate() const {
           static_cast<float>(t);
     }
   }
-  std::vector<float> sorted = thickness;
-  std::sort(sorted.begin(), sorted.end());
-  const auto quantile = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-  };
-  const float water_cut = quantile(cfg.water_fraction);
-  const float thin_cut = quantile(cfg.water_fraction + cfg.thin_fraction);
-  const float t_min = sorted.front();
-  const float t_max = sorted.back();
+  std::vector<float> scratch = thickness;
+  const float water_cut = order_statistic(scratch, cfg.water_fraction);
+  const float thin_cut =
+      order_statistic(scratch, cfg.water_fraction + cfg.thin_fraction);
+  const auto [min_it, max_it] =
+      std::minmax_element(thickness.begin(), thickness.end());
+  const float t_min = *min_it;
+  const float t_max = *max_it;
 
   // Pass 2: render classes and clean RGB.
   for (int y = 0; y < h; ++y) {
@@ -161,7 +169,7 @@ Scene SceneGenerator::generate() const {
   // field's cut level is quantile-calibrated so the configured coverage
   // fraction holds for every noise realization.
   std::vector<float> cloud_field;
-  float cloud_cut = 0.0f, cloud_peak = 1.0f;
+  float cloud_cut = 0.0f;
   if (cfg.cloudy) {
     cloud_field.resize(static_cast<std::size_t>(w) * h);
     for (int y = 0; y < h; ++y) {
@@ -171,17 +179,8 @@ Scene SceneGenerator::generate() const {
                                                y / cfg.cloud_feature_scale, 4));
       }
     }
-    std::vector<float> cloud_sorted = cloud_field;
-    std::sort(cloud_sorted.begin(), cloud_sorted.end());
-    const auto cq = [&](double q) {
-      const auto idx = static_cast<std::size_t>(
-          std::clamp(q, 0.0, 1.0) *
-          static_cast<double>(cloud_sorted.size() - 1));
-      return cloud_sorted[idx];
-    };
-    cloud_cut = cq(1.0 - cfg.cloud_coverage);
-    cloud_peak = cloud_sorted.back();
-    if (cloud_peak <= cloud_cut) cloud_peak = cloud_cut + 1e-4f;
+    scratch = cloud_field;
+    cloud_cut = order_statistic(scratch, 1.0 - cfg.cloud_coverage);
   }
   // Fixed transition width (not per-scene peak) so opacity ramps at the
   // field's intrinsic smoothness instead of being sharpened by rescaling.

@@ -10,6 +10,7 @@
 #include "s2/noise.h"
 #include "s2/scene.h"
 #include "s2/tiles.h"
+#include "util/hash.h"
 
 namespace ps = polarice::s2;
 namespace pi = polarice::img;
@@ -59,6 +60,68 @@ TEST(SceneGenerator, DeterministicPerConfig) {
   const auto b = ps::SceneGenerator(test_scene_config(true)).generate();
   EXPECT_EQ(a.rgb, b.rgb);
   EXPECT_EQ(a.labels, b.labels);
+}
+
+// Golden digests of every Scene plane. Synthesis feeds every accuracy in the
+// repo, so a speedup of generate() must reproduce these bytes exactly. The
+// digests were taken from the sort-based quantile code before it switched to
+// selection; the configs cover cloudy and clear, non-square and tiny sizes,
+// a darkened season, zero class fractions and full cloud cover.
+TEST(SceneGenerator, PlanesMatchGoldenDigests) {
+  struct Golden {
+    const char* name;
+    int width, height;
+    std::uint64_t seed;
+    bool cloudy;
+    double season, water, thin, coverage;
+    std::uint64_t lo, hi;
+  };
+  const Golden cases[] = {
+      // GCC contracts a * b + c into an FMA wherever the target has one,
+      // also in ISO C++ mode. That moves one shadow_strength value of this
+      // scene (3.2e-10) by an ulp, so its digest is per target.
+#if defined(__FMA__)
+      {"cloudy_256", 256, 256, 11, true, 1.0, 0.30, 0.35, 0.45,
+       0x8516fc42706a0da9ULL, 0xbbf34a168ebe3044ULL},
+#else
+      {"cloudy_256", 256, 256, 11, true, 1.0, 0.30, 0.35, 0.45,
+       0x9e747602fbb9d95eULL, 0xa5fadf6fea02ac0bULL},
+#endif
+      {"clear_256", 256, 256, 11, false, 1.0, 0.30, 0.35, 0.45,
+       0x71593dcd190e4694ULL, 0x9481f0dfd8afc9f1ULL},
+      {"cloudy_200x136", 200, 136, 5, true, 1.0, 0.30, 0.35, 0.45,
+       0x642671790d1593e1ULL, 0x072efeaf9c85c464ULL},
+      {"season_0.6", 192, 160, 3, true, 0.6, 0.30, 0.35, 0.45,
+       0xe0516c5a9b82ef82ULL, 0xd37f32eb936c7effULL},
+      {"no_water_no_thin", 128, 96, 7, true, 1.0, 0.0, 0.0, 0.45,
+       0x4c6737d43c47a0cbULL, 0x92f87daf569c0eb6ULL},
+      {"no_thin_full_cover", 160, 224, 9, true, 1.0, 0.25, 0.0, 1.0,
+       0x1c44468a30f96931ULL, 0x9af68b44d87e68e4ULL},
+      {"tiny_5x3", 5, 3, 2, true, 1.0, 0.30, 0.35, 0.45,
+       0x4be7bd685a0953aaULL, 0x6135f16e729848a5ULL},
+  };
+  for (const auto& g : cases) {
+    ps::SceneConfig cfg;
+    cfg.width = g.width;
+    cfg.height = g.height;
+    cfg.seed = g.seed;
+    cfg.cloudy = g.cloudy;
+    cfg.season_brightness = g.season;
+    cfg.water_fraction = g.water;
+    cfg.thin_fraction = g.thin;
+    cfg.cloud_coverage = g.coverage;
+    const auto scene = ps::SceneGenerator(cfg).generate();
+    polarice::util::Fnv128 hash;
+    hash.update(scene.rgb.data(), scene.rgb.size());
+    hash.update(scene.rgb_clean.data(), scene.rgb_clean.size());
+    hash.update(scene.labels.data(), scene.labels.size());
+    hash.update(scene.cloud_opacity.data(),
+                scene.cloud_opacity.size() * sizeof(float));
+    hash.update(scene.shadow_strength.data(),
+                scene.shadow_strength.size() * sizeof(float));
+    EXPECT_EQ(hash.lo, g.lo) << g.name << std::hex << " lo 0x" << hash.lo;
+    EXPECT_EQ(hash.hi, g.hi) << g.name << std::hex << " hi 0x" << hash.hi;
+  }
 }
 
 TEST(SceneGenerator, DifferentSeedsDiffer) {
