@@ -2,19 +2,17 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <optional>
-#include <string_view>
 #include <utility>
 
+#include "net/wire.h"
+#include "util/durable_file.h"
 #include "util/hash.h"
 
 namespace polarice::core::serve {
@@ -26,12 +24,12 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kSegmentMagic = 0x504f4c4152494345ULL;
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint32_t kEntryMagic = 0x49434531u;  // "ICE1"
+constexpr char kSegmentPrefix[] = "seg-";
 constexpr char kSegmentSuffix[] = ".ice";
-constexpr char kTmpSuffix[] = ".tmp";
 
-// On-disk layout, all fields little-endian. Serialized field by field (not
-// memcpy'd structs) so the format has no padding and no host-layout
-// dependence.
+// On-disk layout, all fields little-endian (net::WireWriter/WireReader).
+// Serialized field by field (not memcpy'd structs) so the format has no
+// padding and no host-layout dependence.
 //
 // Segment header (40 bytes):
 //   u64 magic | u32 version | u32 reserved(0) | u64 fingerprint |
@@ -44,104 +42,6 @@ constexpr char kTmpSuffix[] = ".tmp";
 // followed by payload_len payload bytes.
 constexpr std::size_t kSegmentHeaderBytes = 40;
 constexpr std::size_t kEntryHeaderBytes = 64;
-
-void put_u32(std::uint8_t* out, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-void put_u64(std::uint8_t* out, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-std::uint32_t get_u32(const std::uint8_t* in) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{in[i]} << (8 * i);
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* in) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{in[i]} << (8 * i);
-  return v;
-}
-
-std::string errno_text() { return std::strerror(errno); }
-
-/// Read-only mmap of one whole file, unmapped on destruction. An empty
-/// file maps to data()==nullptr, size()==0.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      throw CacheStoreError("open " + path + ": " + errno_text());
-    }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      const std::string why = errno_text();
-      ::close(fd);
-      throw CacheStoreError("fstat " + path + ": " + why);
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    if (size_ > 0) {
-      void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-      if (map == MAP_FAILED) {
-        const std::string why = errno_text();
-        ::close(fd);
-        throw CacheStoreError("mmap " + path + ": " + why);
-      }
-      data_ = static_cast<const std::uint8_t*>(map);
-    }
-    ::close(fd);
-  }
-  ~MappedFile() {
-    if (data_ != nullptr) {
-      ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    }
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-void fsync_or_throw(int fd, const std::string& what) {
-  if (::fsync(fd) != 0) {
-    throw CacheStoreError("fsync " + what + ": " + errno_text());
-  }
-}
-
-/// fsync on the directory itself, making a completed rename durable.
-void fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    throw CacheStoreError("open dir " + dir + ": " + errno_text());
-  }
-  try {
-    fsync_or_throw(fd, dir);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-}
-
-/// Parses "seg-<n>.ice" → n; nullopt for anything else.
-std::optional<std::uint64_t> segment_seq(const std::string& name) {
-  constexpr std::string_view prefix = "seg-";
-  if (name.size() <= prefix.size() + 4 || name.rfind(prefix, 0) != 0 ||
-      !name.ends_with(kSegmentSuffix)) {
-    return std::nullopt;
-  }
-  std::uint64_t seq = 0;
-  for (std::size_t i = prefix.size(); i < name.size() - 4; ++i) {
-    if (name[i] < '0' || name[i] > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<std::uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
 
 }  // namespace
 
@@ -171,7 +71,7 @@ CacheStore::CacheStore(CacheStoreConfig config) : config_(std::move(config)) {
   const std::string lock_path = config_.dir + "/LOCK";
   lock_fd_ = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (lock_fd_ < 0) {
-    throw CacheStoreError("open " + lock_path + ": " + errno_text());
+    throw CacheStoreError("open " + lock_path + ": " + std::strerror(errno));
   }
   if (::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0) {
     long holder = 0;
@@ -188,7 +88,7 @@ CacheStore::CacheStore(CacheStoreConfig config) : config_(std::move(config)) {
                               static_cast<long>(::getpid()));
   if (::ftruncate(lock_fd_, 0) != 0 ||
       ::pwrite(lock_fd_, pid_text, static_cast<std::size_t>(n), 0) != n) {
-    const std::string why = errno_text();
+    const std::string why = std::strerror(errno);
     ::close(lock_fd_);
     lock_fd_ = -1;
     throw CacheStoreError("write " + lock_path + ": " + why);
@@ -202,22 +102,11 @@ CacheStore::~CacheStore() {
 }
 
 void CacheStore::load_segments() {
-  std::vector<std::pair<std::uint64_t, std::string>> segments;
-  std::error_code ec;
-  for (const auto& dirent : fs::directory_iterator(config_.dir, ec)) {
-    const std::string name = dirent.path().filename().string();
-    if (name.ends_with(kTmpSuffix)) {
-      // Leftover from a flush that died before its rename: by construction
-      // nothing ever referenced it, so deleting it is always safe.
-      fs::remove(dirent.path(), ec);
-      continue;
-    }
-    if (const auto seq = segment_seq(name)) {
-      segments.emplace_back(*seq, dirent.path().string());
-      next_segment_ = std::max(next_segment_, *seq + 1);
-    }
-  }
-  std::sort(segments.begin(), segments.end());
+  // A leftover *.tmp is a flush that died before its rename.
+  util::sweep_tmp(config_.dir);
+  auto segments =
+      util::list_numbered(config_.dir, kSegmentPrefix, kSegmentSuffix);
+  if (!segments.empty()) next_segment_ = segments.back().first + 1;
 
   for (const auto& [seq, path] : segments) {
     load_one_segment(path);
@@ -242,10 +131,10 @@ void CacheStore::load_segments() {
 }
 
 void CacheStore::load_one_segment(const std::string& path) {
-  std::optional<MappedFile> map;
+  std::optional<util::MappedFile> map;
   try {
     map.emplace(path);
-  } catch (const CacheStoreError&) {
+  } catch (const util::FileError&) {
     // Unreadable file (permissions, truncated-to-unstatable race): treat as
     // one corrupt unit and move on — open must always succeed.
     ++stats_.corrupt;
@@ -260,15 +149,19 @@ void CacheStore::load_one_segment(const std::string& path) {
     fs::remove(path, ec);
     return;
   }
-  const std::uint64_t header_check = util::fnv64(base, 32);
-  if (get_u64(base + 32) != header_check || get_u64(base) != kSegmentMagic) {
+  net::WireReader header(base, kSegmentHeaderBytes);
+  const std::uint64_t magic = header.get_u64();
+  const std::uint32_t version = header.get_u32();
+  (void)header.get_u32();  // reserved
+  const std::uint64_t fingerprint = header.get_u64();
+  const std::uint64_t declared_entries = header.get_u64();
+  if (header.get_u64() != util::fnv64(base, 32) || magic != kSegmentMagic) {
     ++stats_.corrupt;
     std::error_code ec;
     fs::remove(path, ec);
     return;
   }
-  if (get_u32(base + 8) != kFormatVersion ||
-      get_u64(base + 16) != config_.fingerprint) {
+  if (version != kFormatVersion || fingerprint != config_.fingerprint) {
     // Valid segment from another format or serving configuration: stale.
     // Unlink it — its planes must never answer for this configuration.
     ++stats_.stale;
@@ -276,7 +169,6 @@ void CacheStore::load_one_segment(const std::string& path) {
     fs::remove(path, ec);
     return;
   }
-  const std::uint64_t declared_entries = get_u64(base + 24);
 
   std::size_t offset = kSegmentHeaderBytes;
   std::uint64_t decoded = 0;
@@ -286,24 +178,25 @@ void CacheStore::load_one_segment(const std::string& path) {
       return;
     }
     const std::uint8_t* h = base + offset;
+    net::WireReader entry(h, kEntryHeaderBytes);
+    const std::uint32_t entry_magic = entry.get_u32();
+    SceneKey key;
+    key.width = static_cast<int>(entry.get_u32());
+    key.height = static_cast<int>(entry.get_u32());
+    key.channels = static_cast<int>(entry.get_u32());
+    key.hash_lo = entry.get_u64();
+    key.hash_hi = entry.get_u64();
+    const std::uint64_t payload_len = entry.get_u64();
+    const std::uint64_t check_lo = entry.get_u64();
+    const std::uint64_t check_hi = entry.get_u64();
     // The meta checksum covers every field the decoder is about to trust —
     // including payload_len. A corrupted header therefore cannot steer the
     // scan: the remainder of the segment is undecodable and is dropped
     // whole rather than resynchronized from untrusted lengths.
-    if (get_u64(h + 56) != util::fnv64(h, 56) ||
-        get_u32(h) != kEntryMagic) {
+    if (entry.get_u64() != util::fnv64(h, 56) || entry_magic != kEntryMagic) {
       ++stats_.corrupt;
       return;
     }
-    SceneKey key;
-    key.width = static_cast<int>(get_u32(h + 4));
-    key.height = static_cast<int>(get_u32(h + 8));
-    key.channels = static_cast<int>(get_u32(h + 12));
-    key.hash_lo = get_u64(h + 16);
-    key.hash_hi = get_u64(h + 24);
-    const std::uint64_t payload_len = get_u64(h + 32);
-    const std::uint64_t check_lo = get_u64(h + 40);
-    const std::uint64_t check_hi = get_u64(h + 48);
     offset += kEntryHeaderBytes;
 
     if (payload_len > config_.max_entry_bytes || payload_len > size - offset ||
@@ -388,72 +281,39 @@ void CacheStore::flush() {
 
 std::size_t CacheStore::write_segment(std::uint64_t seq,
                                       const std::vector<Entry>& entries) {
-  const std::string final_path =
-      config_.dir + "/seg-" + std::to_string(seq) + kSegmentSuffix;
-  const std::string tmp_path = final_path + kTmpSuffix;
-
-  std::vector<std::uint8_t> buffer;
-  std::size_t total = kSegmentHeaderBytes;
-  for (const auto& entry : entries) total += kEntryHeaderBytes + entry.plane.size();
-  buffer.resize(total);
-
-  std::uint8_t* out = buffer.data();
-  put_u64(out, kSegmentMagic);
-  put_u32(out + 8, kFormatVersion);
-  put_u32(out + 12, 0);
-  put_u64(out + 16, config_.fingerprint);
-  put_u64(out + 24, entries.size());
-  put_u64(out + 32, util::fnv64(out, 32));
-  out += kSegmentHeaderBytes;
+  net::WireWriter out;
+  out.put_u64(kSegmentMagic);
+  out.put_u32(kFormatVersion);
+  out.put_u32(0);
+  out.put_u64(config_.fingerprint);
+  out.put_u64(entries.size());
+  out.put_u64(util::fnv64(out.bytes().data(), 32));
 
   for (const auto& entry : entries) {
     const std::size_t payload_len = entry.plane.size();
     const util::Fnv128 digest = util::fnv128(entry.plane.data(), payload_len);
-    put_u32(out, kEntryMagic);
-    put_u32(out + 4, static_cast<std::uint32_t>(entry.key.width));
-    put_u32(out + 8, static_cast<std::uint32_t>(entry.key.height));
-    put_u32(out + 12, static_cast<std::uint32_t>(entry.key.channels));
-    put_u64(out + 16, entry.key.hash_lo);
-    put_u64(out + 24, entry.key.hash_hi);
-    put_u64(out + 32, payload_len);
-    put_u64(out + 40, digest.lo);
-    put_u64(out + 48, digest.hi);
-    put_u64(out + 56, util::fnv64(out, 56));
-    out += kEntryHeaderBytes;
-    std::memcpy(out, entry.plane.data(), payload_len);
-    out += payload_len;
+    const std::size_t start = out.bytes().size();
+    out.put_u32(kEntryMagic);
+    out.put_u32(static_cast<std::uint32_t>(entry.key.width));
+    out.put_u32(static_cast<std::uint32_t>(entry.key.height));
+    out.put_u32(static_cast<std::uint32_t>(entry.key.channels));
+    out.put_u64(entry.key.hash_lo);
+    out.put_u64(entry.key.hash_hi);
+    out.put_u64(payload_len);
+    out.put_u64(digest.lo);
+    out.put_u64(digest.hi);
+    out.put_u64(util::fnv64(out.bytes().data() + start, 56));
+    out.put_bytes(entry.plane.data(), payload_len);
   }
 
-  const int fd = ::open(tmp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw CacheStoreError("open " + tmp_path + ": " + errno_text());
-  }
+  const std::string path = config_.dir + "/" + kSegmentPrefix +
+                           std::to_string(seq) + kSegmentSuffix;
   try {
-    std::size_t written = 0;
-    while (written < buffer.size()) {
-      const ssize_t n =
-          ::write(fd, buffer.data() + written, buffer.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw CacheStoreError("write " + tmp_path + ": " + errno_text());
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    fsync_or_throw(fd, tmp_path);
-  } catch (...) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    throw;
+    util::publish_file(path, out.bytes());
+  } catch (const util::FileError& e) {
+    throw CacheStoreError(e.what());
   }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const std::string why = errno_text();
-    ::unlink(tmp_path.c_str());
-    throw CacheStoreError("rename " + final_path + ": " + why);
-  }
-  fsync_dir(config_.dir);
-  return buffer.size();
+  return out.bytes().size();
 }
 
 void CacheStore::compact(std::vector<std::string> old_segments) {
@@ -471,7 +331,11 @@ void CacheStore::compact(std::vector<std::string> old_segments) {
     std::error_code ec;
     fs::remove(path, ec);
   }
-  if (!old_segments.empty()) fsync_dir(config_.dir);
+  try {
+    util::fsync_dir(config_.dir);
+  } catch (const util::FileError& e) {
+    throw CacheStoreError(e.what());
+  }
   stats_.bytes_on_disk = segment_bytes;
 }
 

@@ -10,10 +10,10 @@
 //
 // Durability discipline — a crash mid-write can never produce a
 // readable-but-wrong entry:
-//   * writes never touch a live segment: pending entries are written to
-//     `seg-<n>.ice.tmp`, fsync'd, then atomically renamed to
-//     `seg-<n>.ice` (and the directory fsync'd, making the rename itself
-//     durable). A crash leaves either the old file set or the new one.
+//   * writes never touch a live segment: each flush publishes a fresh
+//     `seg-<n>.ice` through util::publish_file (util/durable_file.h: tmp
+//     file, fsync, atomic rename, directory fsync). A crash leaves either
+//     the old file set or the new one.
 //   * every segment carries a versioned header (magic, format version,
 //     config fingerprint) protected by its own checksum; every entry
 //     carries a metadata checksum over its key/geometry/length fields and
@@ -126,9 +126,9 @@ class CacheStore {
   /// Bytes currently buffered — the flush-threshold input.
   [[nodiscard]] std::size_t pending_bytes() const;
 
-  /// Writes pending entries into a fresh segment: tmp file, fsync, atomic
-  /// rename, directory fsync. No-op when nothing is pending. Throws
-  /// CacheStoreError on I/O failure (pending entries are kept for retry).
+  /// Publishes pending entries as a fresh segment (util::publish_file).
+  /// No-op when nothing is pending. Throws CacheStoreError on I/O failure
+  /// (pending entries are kept for retry).
   void flush();
 
   [[nodiscard]] CacheStoreStats stats() const;

@@ -177,8 +177,11 @@ std::vector<AutoLabelResult> AutoLabelStage::label_batch(
       if (policy_.workers == 1) {
         label_over(nullptr);
       } else {
+        // parallel_for's caller drains chunks too, so calling it from here
+        // would add a thread to the pool's. Issued from a pool task, the
+        // caller is one of the `workers` threads.
         par::ThreadPool pool(policy_.workers);
-        label_over(&pool);
+        pool.submit([&] { label_over(&pool); }).get();
       }
       break;
     }

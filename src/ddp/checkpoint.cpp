@@ -1,18 +1,12 @@
 #include "ddp/checkpoint.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "net/wire.h"
+#include "util/durable_file.h"
 #include "util/hash.h"
 
 namespace polarice::ddp {
@@ -24,15 +18,12 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kCheckpointMagic = 0x50494345434b5054ULL;
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr char kSuffix[] = ".ice";
-constexpr char kTmpSuffix[] = ".tmp";
 constexpr char kPrefix[] = "ckpt-";
 // Header: magic u64, version u32, fingerprint u64, payload_len u64,
 // checksum lo u64, checksum hi u64.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8 + 8;
 // Sanity ceiling: a corrupted length field must fail fast, not allocate.
 constexpr std::uint64_t kMaxPayload = std::uint64_t{1} << 31;  // 2 GB
-
-std::string errno_text() { return std::strerror(errno); }
 
 void put_floats(net::WireWriter& w, const std::vector<float>& values) {
   w.put_u64(values.size());
@@ -49,46 +40,11 @@ std::vector<float> get_floats(net::WireReader& r) {
   return values;
 }
 
-/// ckpt-<20-digit global_step>.ice → global_step, or nullopt for any other
-/// file name.
-std::optional<std::uint64_t> checkpoint_seq(const std::string& name) {
-  if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) return {};
-  const std::size_t lo = std::strlen(kPrefix);
-  const std::size_t hi = name.size() - std::strlen(kSuffix);
-  if (hi <= lo) return {};
-  std::uint64_t seq = 0;
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (name[i] < '0' || name[i] > '9') return {};
-    seq = seq * 10 + static_cast<std::uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
-
 std::string checkpoint_name(std::int64_t global_step) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%s%020lld%s", kPrefix,
                 static_cast<long long>(global_step), kSuffix);
   return buf;
-}
-
-void fsync_or_throw(int fd, const std::string& what) {
-  if (::fsync(fd) != 0) {
-    throw CheckpointError("fsync " + what + ": " + errno_text());
-  }
-}
-
-void fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    throw CheckpointError("open dir " + dir + ": " + errno_text());
-  }
-  try {
-    fsync_or_throw(fd, dir);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
 }
 
 }  // namespace
@@ -194,108 +150,46 @@ CheckpointStore::CheckpointStore(CheckpointStoreConfig config)
   if (!fs::is_directory(config_.dir)) {
     throw CheckpointError("cannot create directory " + config_.dir);
   }
-  // Leftovers from a write that died before its rename: nothing ever
-  // referenced them, deleting is always safe.
-  for (const auto& dirent : fs::directory_iterator(config_.dir, ec)) {
-    if (dirent.path().filename().string().ends_with(kTmpSuffix)) {
-      fs::remove(dirent.path(), ec);
-    }
-  }
+  util::sweep_tmp(config_.dir);
 }
 
 void CheckpointStore::write(const TrainCheckpoint& checkpoint) {
-  const std::vector<std::uint8_t> bytes =
-      encode_checkpoint(checkpoint, config_.fingerprint);
-  const std::string name = checkpoint_name(checkpoint.global_step);
-  const std::string final_path = config_.dir + "/" + name;
-  const std::string tmp_path = final_path + kTmpSuffix;
-
-  const int fd = ::open(tmp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw CheckpointError("open " + tmp_path + ": " + errno_text());
-  }
+  const std::string path =
+      config_.dir + "/" + checkpoint_name(checkpoint.global_step);
   try {
-    std::size_t written = 0;
-    while (written < bytes.size()) {
-      const ssize_t n =
-          ::write(fd, bytes.data() + written, bytes.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw CheckpointError("write " + tmp_path + ": " + errno_text());
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    fsync_or_throw(fd, tmp_path);
-  } catch (...) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    throw;
+    util::publish_file(path,
+                       encode_checkpoint(checkpoint, config_.fingerprint));
+  } catch (const util::FileError& e) {
+    throw CheckpointError(e.what());
   }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const std::string why = errno_text();
-    ::unlink(tmp_path.c_str());
-    throw CheckpointError("rename " + tmp_path + ": " + why);
-  }
-  fsync_dir(config_.dir);
   ++stats_.written;
 
   // Retention: unlink everything but the newest `retain` checkpoints.
-  std::vector<std::pair<std::uint64_t, std::string>> files;
-  std::error_code ec;
-  for (const auto& dirent : fs::directory_iterator(config_.dir, ec)) {
-    if (const auto seq = checkpoint_seq(dirent.path().filename().string())) {
-      files.emplace_back(*seq, dirent.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  while (files.size() > static_cast<std::size_t>(config_.retain)) {
-    fs::remove(files.front().second, ec);
-    files.erase(files.begin());
+  const auto files = util::list_numbered(config_.dir, kPrefix, kSuffix);
+  const std::size_t retain = static_cast<std::size_t>(config_.retain);
+  for (std::size_t i = 0; i + retain < files.size(); ++i) {
+    std::error_code ec;
+    fs::remove(files[i].second, ec);
     ++stats_.pruned;
   }
 }
 
 std::optional<TrainCheckpoint> CheckpointStore::load_latest() {
-  std::vector<std::pair<std::uint64_t, std::string>> files;
-  std::error_code ec;
-  for (const auto& dirent : fs::directory_iterator(config_.dir, ec)) {
-    if (const auto seq = checkpoint_seq(dirent.path().filename().string())) {
-      files.emplace_back(*seq, dirent.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end(), std::greater<>());
-  for (const auto& [seq, path] : files) {
-    std::vector<std::uint8_t> bytes;
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        ++stats_.corrupt;
-        fs::remove(path, ec);
-        continue;
-      }
-      in.seekg(0, std::ios::end);
-      bytes.resize(static_cast<std::size_t>(in.tellg()));
-      in.seekg(0);
-      in.read(reinterpret_cast<char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-      if (!in) {
-        ++stats_.corrupt;
-        fs::remove(path, ec);
-        continue;
-      }
-    }
+  const auto files = util::list_numbered(config_.dir, kPrefix, kSuffix);
+  for (auto it = files.rbegin(); it != files.rend(); ++it) {
+    const std::string& path = it->second;
     try {
-      return decode_checkpoint(bytes.data(), bytes.size(),
-                               config_.fingerprint);
+      const util::MappedFile file(path);
+      return decode_checkpoint(file.data(), file.size(), config_.fingerprint);
     } catch (const CheckpointStale&) {
       ++stats_.stale;
-      fs::remove(path, ec);
     } catch (const CheckpointCorrupt&) {
       ++stats_.corrupt;
-      fs::remove(path, ec);
+    } catch (const util::FileError&) {
+      ++stats_.corrupt;  // unreadable: as good as torn
     }
+    std::error_code ec;
+    fs::remove(path, ec);
   }
   return std::nullopt;
 }

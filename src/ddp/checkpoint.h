@@ -9,8 +9,8 @@
 // so the cursor is the whole data-order state).
 //
 // Durability:
-//   * writes go to `<name>.tmp`, are fsync'd, atomically renamed over the
-//     final name, and the directory is fsync'd — a crash mid-write leaves
+//   * each write is one util::publish_file (util/durable_file.h: tmp file,
+//     fsync, atomic rename, directory fsync) — a crash mid-write leaves
 //     either the previous checkpoint set or the new one, never a torn file.
 //   * the header carries a magic, a format version, the training config
 //     fingerprint, the payload length, and a util::Fnv128 checksum over
@@ -103,8 +103,8 @@ class CheckpointStore {
   CheckpointStore(const CheckpointStore&) = delete;
   CheckpointStore& operator=(const CheckpointStore&) = delete;
 
-  /// Writes one checkpoint durably (tmp, fsync, rename, dir fsync), then
-  /// applies retention. Throws CheckpointError on I/O failure.
+  /// Publishes one checkpoint durably (util::publish_file), then applies
+  /// retention. Throws CheckpointError on I/O failure.
   void write(const TrainCheckpoint& checkpoint);
 
   /// Returns the newest checkpoint that validates, deleting and counting

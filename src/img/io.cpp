@@ -1,7 +1,11 @@
 #include "img/io.h"
 
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
+
+#include "util/durable_file.h"
 
 namespace polarice::img {
 
@@ -12,13 +16,12 @@ void write_pnm(const std::string& path, const ImageU8& image,
     throw std::invalid_argument(std::string("write ") + magic +
                                 ": wrong channel count");
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open for write: " + path);
-  out << magic << '\n'
-      << image.width() << ' ' << image.height() << "\n255\n";
-  out.write(reinterpret_cast<const char*>(image.data()),
-            static_cast<std::streamsize>(image.size()));
-  if (!out) throw std::runtime_error("short write: " + path);
+  const std::string header = std::string(magic) + '\n' +
+                             std::to_string(image.width()) + ' ' +
+                             std::to_string(image.height()) + "\n255\n";
+  std::vector<std::uint8_t> bytes(header.begin(), header.end());
+  bytes.insert(bytes.end(), image.data(), image.data() + image.size());
+  util::publish_file(path, bytes);
 }
 
 // Skips whitespace and '#' comments, then reads one ASCII token.

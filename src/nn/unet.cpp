@@ -1,8 +1,11 @@
 #include "nn/unet.h"
 
+#include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
+
+#include "net/wire.h"
+#include "util/durable_file.h"
 
 namespace polarice::nn {
 
@@ -215,73 +218,67 @@ void UNet::set_pool(par::ThreadPool* pool) {
 }
 
 namespace {
+// PLRICEW1 layout, little-endian: magic | u32 param count | per param:
+// u32 name length, name bytes, u32 rank, i32 dims[rank], f32 values.
 constexpr char kWeightsMagic[8] = {'P', 'L', 'R', 'I', 'C', 'E', 'W', '1'};
 }  // namespace
 
 void UNet::save(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("UNet::save: cannot open " + path);
-  out.write(kWeightsMagic, sizeof(kWeightsMagic));
+  net::WireWriter out;
+  out.put_bytes(kWeightsMagic, sizeof(kWeightsMagic));
   const auto ps = params();
-  const std::uint32_t count = static_cast<std::uint32_t>(ps.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  out.put_u32(static_cast<std::uint32_t>(ps.size()));
   for (const auto& p : ps) {
-    const std::uint32_t name_len = static_cast<std::uint32_t>(p.name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p.name.data(), name_len);
-    const std::uint32_t ndim = static_cast<std::uint32_t>(p.value->ndim());
-    out.write(reinterpret_cast<const char*>(&ndim), sizeof(ndim));
-    for (const int d : p.value->shape()) {
-      const std::int32_t d32 = d;
-      out.write(reinterpret_cast<const char*>(&d32), sizeof(d32));
-    }
-    out.write(reinterpret_cast<const char*>(p.value->data()),
-              static_cast<std::streamsize>(p.value->numel() * sizeof(float)));
+    out.put_string(p.name);
+    out.put_u32(static_cast<std::uint32_t>(p.value->ndim()));
+    for (const int d : p.value->shape()) out.put_i32(d);
+    const float* values = p.value->data();
+    for (std::int64_t i = 0; i < p.value->numel(); ++i) out.put_f32(values[i]);
   }
-  if (!out) throw std::runtime_error("UNet::save: short write to " + path);
+  util::publish_file(path, out.bytes());
 }
 
 void UNet::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("UNet::load: cannot open " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kWeightsMagic, sizeof(magic)) != 0) {
-    throw std::runtime_error("UNet::load: bad magic in " + path);
-  }
-  std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  // Parse and validate the whole file before touching a weight, so a
+  // truncated or mismatched file leaves the model exactly as it was.
+  const util::MappedFile file(path);
   auto ps = params();
-  if (!in || count != ps.size()) {
-    throw std::runtime_error("UNet::load: parameter count mismatch in " + path);
-  }
-  for (auto& p : ps) {
-    std::uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    if (!in || name_len > 4096) {
-      throw std::runtime_error("UNet::load: corrupt name length");
+  std::vector<std::vector<float>> staged(ps.size());
+  try {
+    net::WireReader in(file.data(), file.size());
+    char magic[sizeof(kWeightsMagic)];
+    in.get_bytes(magic, sizeof(magic));
+    if (std::memcmp(magic, kWeightsMagic, sizeof(magic)) != 0) {
+      throw std::runtime_error("UNet::load: bad magic in " + path);
     }
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    if (name != p.name) {
-      throw std::runtime_error("UNet::load: parameter order mismatch: " +
-                               name + " vs " + p.name);
+    if (in.get_u32() != ps.size()) {
+      throw std::runtime_error("UNet::load: parameter count mismatch in " +
+                               path);
     }
-    std::uint32_t ndim = 0;
-    in.read(reinterpret_cast<char*>(&ndim), sizeof(ndim));
-    if (!in || ndim != static_cast<std::uint32_t>(p.value->ndim())) {
-      throw std::runtime_error("UNet::load: rank mismatch for " + name);
-    }
-    for (const int d : p.value->shape()) {
-      std::int32_t d32 = 0;
-      in.read(reinterpret_cast<char*>(&d32), sizeof(d32));
-      if (!in || d32 != d) {
-        throw std::runtime_error("UNet::load: shape mismatch for " + name);
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      const Param& p = ps[i];
+      const std::string name = in.get_string();
+      if (name != p.name) {
+        throw std::runtime_error("UNet::load: parameter order mismatch: " +
+                                 name + " vs " + p.name);
       }
+      if (in.get_u32() != static_cast<std::uint32_t>(p.value->ndim())) {
+        throw std::runtime_error("UNet::load: rank mismatch for " + name);
+      }
+      for (const int d : p.value->shape()) {
+        if (in.get_i32() != d) {
+          throw std::runtime_error("UNet::load: shape mismatch for " + name);
+        }
+      }
+      staged[i].resize(static_cast<std::size_t>(p.value->numel()));
+      for (float& v : staged[i]) v = in.get_f32();
     }
-    in.read(reinterpret_cast<char*>(p.value->data()),
-            static_cast<std::streamsize>(p.value->numel() * sizeof(float)));
-    if (!in) throw std::runtime_error("UNet::load: truncated data for " + name);
+    in.expect_end();
+  } catch (const net::WireError& e) {
+    throw std::runtime_error("UNet::load: " + path + ": " + e.what());
+  }
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), ps[i].value->data());
   }
 }
 

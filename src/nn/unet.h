@@ -97,7 +97,9 @@ class UNet {
 
   [[nodiscard]] const UNetConfig& config() const noexcept { return config_; }
 
-  /// Binary weight serialization; load() validates names and shapes.
+  /// Binary weight serialization. save() publishes the file atomically
+  /// (util::publish_file); load() validates names and shapes of the whole
+  /// file before changing any weight, and throws std::runtime_error.
   void save(const std::string& path);
   void load(const std::string& path);
 

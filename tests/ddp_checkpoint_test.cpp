@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ddp/checkpoint.h"
+#include "util/hash.h"
 
 namespace pd = polarice::ddp;
 namespace fs = std::filesystem;
@@ -54,6 +55,17 @@ TEST(Checkpoint, EncodeDecodeRoundtrip) {
   const auto back = pd::decode_checkpoint(bytes.data(), bytes.size(),
                                           kFingerprint);
   EXPECT_EQ(back, ck);
+}
+
+// Pins the on-disk format: the digest was taken before the store moved
+// onto util/durable_file, and any byte the encoder changes moves it.
+TEST(Checkpoint, EncodingMatchesGoldenDigest) {
+  const auto bytes = pd::encode_checkpoint(sample_checkpoint(), kFingerprint);
+  const auto digest = polarice::util::fnv128(bytes.data(), bytes.size());
+  EXPECT_EQ(digest.lo, 0x4268e8b99702bb1cULL)
+      << std::hex << "lo 0x" << digest.lo;
+  EXPECT_EQ(digest.hi, 0x367a2d04d4f5e86dULL)
+      << std::hex << "hi 0x" << digest.hi;
 }
 
 TEST(Checkpoint, RoundtripsEmptyState) {
@@ -205,6 +217,23 @@ TEST(CheckpointStore, SweepsTmpLeftoversOnOpen) {
   pd::CheckpointStore store({dir, kFingerprint, 3});
   EXPECT_FALSE(fs::exists(dir + "/ckpt-00000000000000000007.ice.tmp"));
   EXPECT_FALSE(store.load_latest().has_value());
+}
+
+// A non-empty directory at the checkpoint's final name makes the rename
+// fail, also as root (where chmod blocks nothing).
+TEST(CheckpointStore, FailedWriteThrowsCheckpointErrorAndLeavesNoTmp) {
+  const auto dir = scratch_dir("blocked");
+  const auto ck = sample_checkpoint();  // global_step 29
+  const std::string blocked = dir + "/ckpt-00000000000000000029.ice";
+  fs::create_directory(blocked);
+  write_file(blocked + "/x", {1});
+  pd::CheckpointStore store({dir, kFingerprint, 3});
+  EXPECT_THROW(store.write(ck), pd::CheckpointError);
+  EXPECT_EQ(store.stats().written, 0u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  EXPECT_TRUE(fs::exists(blocked + "/x"));
 }
 
 TEST(CheckpointStore, IgnoresUnrelatedFiles) {

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "nn/data.h"
 #include "nn/trainer.h"
 #include "nn/unet.h"
 #include "tensor/conv.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace pn = polarice::nn;
@@ -217,6 +221,24 @@ TEST(UNet, SaveLoadRoundTrip) {
   fs::remove(path);
 }
 
+// Pins the PLRICEW1 weights format: the digest was taken before save()
+// moved onto util/durable_file, and any byte the writer changes moves it.
+TEST(UNet, SaveMatchesGoldenDigest) {
+  pn::UNet model(tiny_config());
+  const auto path =
+      (fs::temp_directory_path() / "polarice_unet_golden.bin").string();
+  model.save(path);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  fs::remove(path);
+  const auto digest = polarice::util::fnv128(bytes.data(), bytes.size());
+  EXPECT_EQ(digest.lo, 0x9304f03d404734f7ULL)
+      << std::hex << "lo 0x" << digest.lo;
+  EXPECT_EQ(digest.hi, 0x4362628e07388cf2ULL)
+      << std::hex << "hi 0x" << digest.hi;
+}
+
 TEST(UNet, LoadRejectsStructureMismatch) {
   pn::UNet a(tiny_config());
   const auto path =
@@ -226,6 +248,36 @@ TEST(UNet, LoadRejectsStructureMismatch) {
   cfg.base_channels = 8;  // different widths
   pn::UNet b(cfg);
   EXPECT_THROW(b.load(path), std::runtime_error);
+  fs::remove(path);
+}
+
+// Every truncation of a weights file must be refused without changing a
+// single weight of the model it was loaded into.
+TEST(UNet, LoadOfEveryTruncationThrowsAndLeavesModelUntouched) {
+  auto cfg = tiny_config();
+  cfg.depth = 1;  // a ~2.5 KB file keeps the sweep short
+  cfg.base_channels = 2;
+  pn::UNet source(cfg);
+  const auto path =
+      (fs::temp_directory_path() / "polarice_unet_truncated.bin").string();
+  source.save(path);
+  const auto size = fs::file_size(path);
+
+  cfg.seed = 31337;
+  pn::UNet target(cfg);
+  const auto x = random_tensor({1, 3, 8, 8}, 22);
+  pt::Tensor before, after;
+  target.forward(x, before, false);
+  for (auto len = size; len-- > 0;) {
+    fs::resize_file(path, len);
+    EXPECT_THROW(target.load(path), std::runtime_error) << "length " << len;
+    target.forward(x, after, false);
+    ASSERT_EQ(std::memcmp(before.data(), after.data(),
+                          sizeof(float) * static_cast<std::size_t>(
+                                              before.numel())),
+              0)
+        << "weights changed by a load of length " << len;
+  }
   fs::remove(path);
 }
 

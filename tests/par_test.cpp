@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -112,6 +115,44 @@ INSTANTIATE_TEST_SUITE_P(
     WorkersAndGrains, ParallelForSweep,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Values(0, 1, 7, 100, 5000)));
+
+namespace {
+/// Distinct threads that ran the body of one parallel_for over `pool`.
+std::set<std::thread::id> threads_running(pp::ThreadPool& pool) {
+  std::mutex mutex;
+  std::set<std::thread::id> seen;
+  pp::parallel_for(
+      &pool, 0, 64,
+      [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const std::scoped_lock lock(mutex);
+        seen.insert(std::this_thread::get_id());
+      },
+      /*grain=*/1);
+  return seen;
+}
+}  // namespace
+
+// The caller drains chunks alongside the pool: k workers + 1 threads.
+TEST(ParallelFor, RunsOnAtMostPoolSizePlusCallerThreads) {
+  for (std::size_t k : {1u, 2u, 3u, 4u}) {
+    pp::ThreadPool pool(k);
+    EXPECT_LE(threads_running(pool).size(), k + 1) << "pool of " << k;
+  }
+}
+
+// Issued from a pool task, the caller is itself a worker: at most k
+// threads. AutoLabelStage's kPool policy relies on this to run `workers`
+// threads, not workers + 1.
+TEST(ParallelFor, FromPoolTaskRunsOnAtMostPoolSizeThreads) {
+  for (std::size_t k : {2u, 3u, 4u}) {
+    pp::ThreadPool pool(k);
+    const auto seen =
+        pool.submit([&] { return threads_running(pool); }).get();
+    EXPECT_LE(seen.size(), k) << "pool of " << k;
+    EXPECT_FALSE(seen.contains(std::this_thread::get_id()));
+  }
+}
 
 TEST(ParallelMap, ResultsInOrder) {
   pp::ThreadPool pool(4);

@@ -136,6 +136,18 @@ TEST(CacheStore, RoundTripsEntriesAcrossReopen) {
   EXPECT_FALSE(reopened.append(key_a, plane_a));
 }
 
+// Pins the segment format: the digest was taken before the store moved
+// onto util/durable_file, and any byte the writer changes moves it.
+TEST(CacheStore, SegmentMatchesGoldenDigest) {
+  TempDir dir;
+  const auto bytes = read_file(write_reference_segment(dir.path));
+  const auto digest = polarice::util::fnv128(bytes.data(), bytes.size());
+  EXPECT_EQ(digest.lo, 0xdfdbbcf33c83bd8aULL)
+      << std::hex << "lo 0x" << digest.lo;
+  EXPECT_EQ(digest.hi, 0x24427c9712a6df2fULL)
+      << std::hex << "hi 0x" << digest.hi;
+}
+
 TEST(CacheStore, FlushIsEmptySafeAndTmpLeftoversAreSwept) {
   TempDir dir;
   {
@@ -154,6 +166,28 @@ TEST(CacheStore, FlushIsEmptySafeAndTmpLeftoversAreSwept) {
   pv::CacheStore store(store_config(dir.path));
   EXPECT_TRUE(store.take_loaded().empty());
   EXPECT_FALSE(fs::exists(tmp));
+}
+
+// A non-empty directory at the segment's final name makes the rename fail,
+// also as root (where chmod blocks nothing).
+TEST(CacheStore, FailedFlushThrowsStoreErrorAndKeepsPendingEntries) {
+  TempDir dir;
+  pv::CacheStore store(store_config(dir.path));
+  fs::create_directory(dir.path + "/seg-0.ice");
+  write_file(dir.path + "/seg-0.ice/x", {1});
+  ASSERT_TRUE(store.append(make_key(1, 16, 8), make_plane(16, 8, 3)));
+  ASSERT_TRUE(store.append(make_key(2, 8, 8), make_plane(8, 8, 9)));
+  const std::size_t pending_bytes = store.pending_bytes();
+  EXPECT_THROW(store.flush(), pv::CacheStoreError);
+  EXPECT_EQ(store.stats().pending, 2u);
+  EXPECT_EQ(store.stats().flushed, 0u);
+  EXPECT_EQ(store.pending_bytes(), pending_bytes);
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  store.flush();  // retries into the next segment name
+  EXPECT_EQ(store.stats().flushed, 2u);
+  EXPECT_TRUE(fs::exists(dir.path + "/seg-1.ice"));
 }
 
 TEST(CacheStore, SecondLiveOpenerIsRefused) {
